@@ -1,6 +1,6 @@
 """Microbenchmarks for the parallel sweep runner and the result cache.
 
-Measures what the ``repro.parallel`` subsystem is for: a worker pool
+Measures what the ``repro.parallel`` subsystem is for: worker agents
 must beat the serial path on a real multi-point sweep, and a warm cache
 must turn a sweep into pure disk reads (orders of magnitude faster than
 simulating).  Results are asserted identical across all paths — the
@@ -16,7 +16,7 @@ from repro.scenarios import families, sweep
 from benchmarks.conftest import run_once
 
 # Four fixed-window cases, long enough that simulation dominates the
-# worker-pool spawn overhead.
+# agents' start-up overhead.
 CASES = families.CONJECTURE_CASES[:4]
 _make_config = functools.partial(families.conjecture_config,
                                  duration=120.0, warmup=60.0)
@@ -59,8 +59,8 @@ def test_warm_cache_skips_simulation(benchmark, record, tmp_path):
 
 
 def test_runner_order_independence(benchmark, record):
-    """Chunked, unordered completion still yields input-ordered points."""
-    runner = ParallelSweepRunner(jobs=2, chunksize=1)
+    """Unordered completion still yields input-ordered points."""
+    runner = ParallelSweepRunner(jobs=2)
     points = run_once(benchmark, lambda: runner.run(
         _make_config, CASES, families.utilization_extract))
     record(n_points=len(points))

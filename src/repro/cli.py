@@ -53,18 +53,18 @@ _SWEEP_EPILOG = """\
 exit codes:
   0  every point produced measurements
   2  configuration error (bad flags, bad REPRO_FAULTS spec, or a
-     __main__ that spawn workers cannot re-import -- use --jobs 1)
+     __main__ that worker agents cannot re-import -- use --jobs 1)
   3  some points failed after exhausting their retries; completed
      measurements were still returned/journaled (with --allow-partial
      this case exits 0 instead)
   4  every point failed
 
-Supervision (--timeout/--retries/--resume, and any REPRO_FAULTS fault
-injection) runs each point in its own worker process when --jobs > 1;
-with --jobs 1 points run in-process, so retries still apply but
-per-point timeouts cannot be enforced.  Failed points are reported on
-stderr and recorded in --manifest-dir manifests and the --report
-document.
+With --jobs N > 1 the points run on N long-lived local worker agents,
+one point at a time each; an agent that crashes or overruns --timeout
+is killed and replaced.  With --jobs 1 points run in-process, so
+retries still apply but per-point timeouts cannot be enforced.  Failed
+points are reported on stderr and recorded in --manifest-dir manifests
+and the --report document.
 """
 
 #: Default sim-time slice a ``repro trace`` records: enough to show several
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp_p = sub.add_parser(
         "sweep",
-        help="run a named sweep family over a worker pool with result "
+        help="run a named sweep family over worker agents with result "
              "caching and fault-tolerant supervision",
         epilog=_SWEEP_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="which sweep family to run")
     _add_queue_flags(swp_p)
     swp_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default: 1, serial)")
+                       help="local worker agents (default: 1, serial "
+                            "in-process)")
     swp_p.add_argument("--backend", default="local", metavar="NAME",
                        help="execution backend: 'local' (this host's "
                             "processes, default) or 'worker' (a fleet of "
@@ -590,7 +591,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                  flag="--queue-param", owner="--queue")
     if args.algorithm:
         # Still a module-level function under partial application, so
-        # spawn workers can re-import it and the cache can fingerprint it.
+        # worker agents can re-import it and the cache can fingerprint it.
         make_config = functools.partial(
             families.substituted_config, make_config=make_config,
             algorithm=args.algorithm, params=tuple(sorted(params.items())))
@@ -705,8 +706,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                    f"recorded to {args.resume}")
     if report.retries:
         status += f"; {report.retries} retried attempts"
-    print(f"{len(values)} points in {elapsed:.2f}s "
-          f"(jobs={args.jobs}, {status})")
+    width = (f"workers={backend.fleet_size(args.jobs)}"
+             if args.backend == "worker" else f"jobs={args.jobs}")
+    print(f"{len(values)} points in {elapsed:.2f}s ({width}, {status})")
 
     if not report.failures:
         return EXIT_OK

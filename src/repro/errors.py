@@ -107,7 +107,10 @@ class SweepFailureError(ReproError):
         indices = ", ".join(str(failure.index) for failure in self.failures[:8])
         if len(self.failures) > 8:
             indices += ", ..."
+        first = (f"; point {self.failures[0].index}: "
+                 f"{self.failures[0].kind}: {self.failures[0].message}"
+                 if self.failures else "")
         super().__init__(
             f"{len(self.failures)} sweep point(s) failed after retries "
-            f"(indices {indices}); pass allow_partial / --allow-partial to "
-            "accept partial results")
+            f"(indices {indices}{first}); pass allow_partial / "
+            "--allow-partial to accept partial results")

@@ -3,7 +3,7 @@
 Public surface:
 
 - :class:`~repro.parallel.runner.ParallelSweepRunner` — fans independent
-  scenario runs over a worker pool, in deterministic input order.
+  scenario runs over worker agents, in deterministic input order.
 - :class:`~repro.parallel.cache.ResultCache` — on-disk measurement cache
   keyed by the SHA-256 of the canonical config JSON.
 - :func:`~repro.parallel.cache.cache_key` / helpers for addressing.

@@ -5,8 +5,8 @@ journal and cache prefilters left pending — and reports each point back
 through the callbacks the runner packed into a :class:`BackendRequest`.
 The runner owns all sweep-level state (results list, cache, journal,
 report, manifests, telemetry); a backend owns only *how* points run:
-in-process, in a local process pool, or leased out to a fleet of worker
-agents.
+in-process, or leased out to worker agents spawned on this host or
+reached over the network.
 
 That split is what makes degradation safe: when a distributed backend
 raises :class:`~repro.errors.BackendUnavailable` mid-sweep, the runner
@@ -70,8 +70,9 @@ class BackendRequest:
     complete: CompleteFn
     emit: Callable[[PointProgress], None]
     policy: ResilienceConfig | None = None
-    """``None`` selects the unsupervised hot paths (local backend only);
-    distributed backends always run supervised."""
+    """``None`` is a plain run (local backend only): no retries, and the
+    first failed point fails the sweep.  Distributed backends always run
+    supervised."""
     attempt_failed: AttemptFailedFn | None = None
     """Present whenever ``policy`` is — terminal-failure bookkeeping."""
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
@@ -86,8 +87,6 @@ class BackendRequest:
     conflict: Callable[[int, dict, dict], None] | None = None
     """``conflict(index, accepted, duplicate)`` — an at-least-once
     duplicate completion disagreed with the accepted payload."""
-    start_method: str = "spawn"
-    chunksize: int | None = None
 
 
 class SweepBackend:

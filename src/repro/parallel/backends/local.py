@@ -1,15 +1,22 @@
 """The local execution backend: this host's processes, no network.
 
-Two regimes share the backend, selected by ``request.policy``:
+``jobs <= 1`` runs every point in this process.  Without a policy
+(``request.policy is None``) that is a plain loop and the first
+exception fails the sweep; with one, exceptions are contained per point
+and retried with deterministic backoff through
+``request.attempt_failed``.  There is no process boundary in-process,
+so wall-clock timeouts cannot be enforced and a ``kill``/``hang`` fault
+is faithfully fatal.
 
-* The **plain** paths (``policy is None``) are the original hot paths —
-  a serial loop, or ``Pool.imap_unordered`` — with no supervision
-  overhead.  A worker crash or unhandled exception fails the whole
-  sweep.
-* The **supervised** paths run each point in its own short-lived
-  process multiplexed over a bounded worker budget, enforce per-point
-  wall-clock timeouts, contain worker crashes, and retry failed points
-  with deterministic backoff through ``request.attempt_failed``.
+``jobs > 1`` spawns ``jobs`` long-lived stdio worker agents and drives
+them through the lease engine of the ``worker`` backend
+(:mod:`repro.parallel.backends.worker`): heartbeats, per-point
+deadlines that kill a hung agent, crash respawn, at-least-once dedupe.
+Agents prepare ``__main__`` the way spawn children do, so a script's
+module-level extractor and registered algorithms work in them.  A plain
+run gets zero retries and raises on its first failed point.  If no
+agent can start at all (fd/PID exhaustion), the remaining points run
+in-process instead.
 
 This module is also the fallback target for graceful degradation: when
 a distributed backend dies mid-sweep the runner re-issues the remaining
@@ -18,40 +25,55 @@ points here, so a fleet outage costs locality, never results.
 
 from __future__ import annotations
 
-import math
+import json
 import multiprocessing
+import multiprocessing.spawn
 import os
 import pickle
 import sys
 import warnings
-from dataclasses import dataclass
-from multiprocessing import connection
-from time import monotonic, perf_counter, sleep
-from typing import Sequence
+from dataclasses import replace
+from time import perf_counter, sleep
 
-from repro.errors import ConfigurationError
+from repro.errors import BackendUnavailable, ConfigurationError, SweepFailureError
 from repro.parallel.backends.base import BackendRequest, SweepBackend
+from repro.parallel.backends.worker import WorkerBackend, _SweepRun
+from repro.parallel.cache import config_hash
 from repro.parallel.progress import PointProgress
-from repro.resilience.faults import FaultPlan, apply_worker_faults
+from repro.parallel.protocol import extract_reference
+from repro.resilience.faults import WORKER_KINDS, FaultPlan, apply_worker_faults
 from repro.resilience.policy import ResilienceConfig
-from repro.resilience.report import (
-    OUTCOME_CRASH,
-    OUTCOME_ERROR,
-    OUTCOME_TIMEOUT,
-)
-from repro.scenarios.config import ScenarioConfig
+from repro.resilience.report import OUTCOME_ERROR, PointFailure
 from repro.scenarios.runner import run as run_scenario
 
 __all__ = ["LocalBackend"]
 
+#: Heartbeat TTL of a local lease, unless the point budget is longer.
+_LEASE_TTL = 15.0
+
+#: A local agent's ``-c`` program: put the coordinator's ``sys.path``
+#: in place so ``repro`` imports, then serve with its spawn preparation
+#: data (``argv[1]``, JSON).  Every message is flushed as it is sent,
+#: so the agent skips interpreter teardown, which the coordinator would
+#: otherwise wait out at the end of each sweep.
+_AGENT_BOOTSTRAP = (
+    "import json, os, sys\n"
+    "preparation = json.loads(sys.argv[1])\n"
+    "sys.path[:0] = preparation['sys_path']\n"
+    "from repro.parallel.worker_agent import serve_stdio\n"
+    "code = serve_stdio(preparation)\n"
+    "sys.stderr.flush()\n"
+    "os._exit(code)\n"
+)
+
 
 def _check_spawnable_main() -> None:
-    """Refuse pool creation when spawn cannot re-import ``__main__``.
+    """Refuse to spawn agents when they cannot re-import ``__main__``.
 
     A ``__main__`` fed from stdin (``python - <<EOF``) reports a
-    ``__file__`` of ``<stdin>`` that spawn children try — and fail — to
-    re-run, and the pool replaces the crashing workers forever.  Raising
-    here turns an infinite hang into an actionable error.
+    ``__file__`` of ``<stdin>`` that agents try — and fail — to re-run.
+    Raising here turns a fleet that dies on start-up into an actionable
+    error.
     """
     process = multiprocessing.current_process()
     if process.daemon or process.name != "MainProcess":
@@ -72,8 +94,12 @@ def _check_spawnable_main() -> None:
         )
 
 
-def _check_picklable_extract(extract) -> None:
-    """The process-pool analogue of the wire protocol's extract check."""
+def _local_extract_reference(extract) -> dict[str, str]:
+    """The wire reference of ``extract`` for agents on this host.
+
+    Unlike remote agents, local ones re-run ``__main__``, so a script's
+    module-level extractor qualifies too.
+    """
     try:
         pickle.dumps(extract)
     except Exception as exc:
@@ -81,286 +107,34 @@ def _check_picklable_extract(extract) -> None:
             "extract must be a module-level (picklable) callable "
             f"when jobs > 1: {exc}"
         ) from exc
+    qualname = getattr(extract, "__qualname__", None)
+    if qualname and getattr(extract, "__module__", None) == "__main__":
+        return {"module": "__main__", "qualname": qualname}
+    return extract_reference(extract)
 
 
-def _execute_point(task: tuple) -> tuple[int, dict, str, float, int, dict | None]:
-    """Worker body for the plain pool path: run one config, extract.
-
-    Module-level so it pickles by reference under the spawn start method.
-    Alongside the measurements it reports the worker's process name, the
-    wall time spent simulating, the engine's event count, and — when the
-    sweep collects telemetry — the point's metrics snapshot (a plain
-    dict, so only JSON-able data travels back), so the parent can emit
-    progress lines, write live-point manifests and fold the snapshot
-    into the :class:`~repro.obs.metrics.SweepTelemetry` aggregate.
-    """
-    index, config, extract, metered = task
-    begin = perf_counter()
-    result = run_scenario(config, metrics=metered)
-    wall_seconds = perf_counter() - begin
-    snapshot = result.metrics.snapshot() if result.metrics is not None else None
-    return (index, extract(result), multiprocessing.current_process().name,
-            wall_seconds, result.events_processed, snapshot)
+def _agent_command() -> list[str]:
+    """Argv for one local agent, carrying this process's spawn data."""
+    preparation = multiprocessing.spawn.get_preparation_data("repro-agent")
+    # Agents open no multiprocessing connections, and bytes are not JSON.
+    preparation.pop("authkey", None)
+    return [sys.executable, "-u", "-c", _AGENT_BOOTSTRAP,
+            json.dumps(preparation)]
 
 
-def _send_quietly(conn, payload) -> bool:
-    """Send on a pipe that the supervisor may have already abandoned.
+def _raise_first_failure(request: BackendRequest):
+    """``attempt_failed`` for a plain run: no retries, the sweep fails."""
 
-    A worker whose parent timed it out (or died) has nobody listening;
-    its result is discarded either way, so a broken pipe here is not an
-    error worth a traceback in the child.
-    """
-    try:
-        conn.send(payload)
-        return True
-    except (OSError, ValueError):
-        return False
+    def attempt_failed(index: int, attempt: int, outcome: str,
+                       wall_seconds: float, detail: str, worker: str) -> None:
+        config = request.configs[index]
+        digest = config_hash(config)
+        raise SweepFailureError([PointFailure(
+            index=index, run_id=f"{digest[:12]}-s{config.seed}",
+            config_hash=digest, scenario=config.name, attempts=attempt,
+            kind=outcome, message=detail)])
 
-
-def _supervised_point(conn, index: int, attempt: int, config: ScenarioConfig,
-                      extract, faults, metered: bool = False) -> None:
-    """Worker body for the supervised path: one process per attempt.
-
-    Applies any scheduled injected faults first (so a ``kill`` dies
-    before simulating, like a real early OOM), then runs and extracts.
-    The outcome travels back as a tagged tuple — ``("ok", measurements,
-    wall_seconds, events, metrics_snapshot)`` or ``("error", detail)``
-    — and a process that dies without sending anything is diagnosed as
-    a crash by the parent when the pipe EOFs.
-    """
-    try:
-        apply_worker_faults(faults, index, attempt)
-        begin = perf_counter()
-        result = run_scenario(config, metrics=metered)
-        wall_seconds = perf_counter() - begin
-        snapshot = (result.metrics.snapshot()
-                    if result.metrics is not None else None)
-        payload = ("ok", extract(result), wall_seconds,
-                   result.events_processed, snapshot)
-    except Exception as exc:
-        payload = ("error", f"{type(exc).__name__}: {exc}")
-    _send_quietly(conn, payload)
-    conn.close()
-
-
-def _stop_process(process) -> None:
-    """Terminate a worker, escalating to SIGKILL if it will not die."""
-    process.terminate()
-    process.join(5.0)
-    if process.is_alive():  # pragma: no cover - needs a SIGTERM-immune child
-        process.kill()
-        process.join()
-
-
-@dataclass
-class _Attempt:
-    """Bookkeeping for one in-flight supervised worker."""
-
-    index: int
-    attempt: int
-    process: multiprocessing.process.BaseProcess
-    deadline: float
-    """Monotonic instant the attempt times out (``math.inf`` = never)."""
-    begin: float
-
-
-class _Supervisor:
-    """Process-per-point executor with timeouts, crash containment and
-    retry scheduling (the supervised ``jobs > 1`` path).
-
-    Unlike ``Pool.imap_unordered`` — which loses the task and blocks
-    forever when a worker is SIGKILLed mid-point — every attempt here
-    owns a dedicated process and pipe, multiplexed through
-    :func:`multiprocessing.connection.wait`.  A dead worker surfaces as
-    pipe EOF, a hung worker as a missed monotonic deadline; both fail
-    only their own attempt.  Failed attempts re-enter the queue with a
-    ``not_before`` timestamp from the policy's deterministic backoff.
-
-    If the host cannot spawn processes at all (fd/PID exhaustion —
-    ``Process.start()`` raising ``OSError``), the attempt degrades to
-    in-process execution with a ``RuntimeWarning`` instead of killing
-    the sweep.
-    """
-
-    def __init__(self, *, context, jobs: int, policy: ResilienceConfig,
-                 fault_plan: FaultPlan, configs: Sequence[ScenarioConfig],
-                 extract, pending: Sequence[int], complete, attempt_failed,
-                 emit, metered: bool = False) -> None:
-        self._context = context
-        self._jobs = jobs
-        self._policy = policy
-        self._fault_plan = fault_plan
-        self._configs = configs
-        self._extract = extract
-        self._metered = metered
-        #: (index, attempt, not_before) — runnable once monotonic() passes.
-        self._queue: list[tuple[int, int, float]] = [
-            (index, 1, 0.0) for index in pending]
-        self._active: dict = {}
-        self._complete = complete
-        self._attempt_failed = attempt_failed
-        self._emit = emit
-
-    def run(self) -> None:
-        """Drive every queued point to completion or terminal failure."""
-        try:
-            while self._queue or self._active:
-                self._launch_ready()
-                self._wait_and_collect()
-        finally:
-            # Normal exit leaves nothing active; any exception —
-            # KeyboardInterrupt included — must not orphan workers.
-            self._shutdown()
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _launch_ready(self) -> None:
-        now = monotonic()
-        for task in [t for t in self._queue if t[2] <= now]:
-            if len(self._active) >= self._jobs:
-                return
-            self._queue.remove(task)
-            index, attempt, _ = task
-            if not self._spawn(index, attempt):
-                self._inline_attempt(index, attempt)
-
-    def _spawn(self, index: int, attempt: int) -> bool:
-        recv_end, send_end = self._context.Pipe(duplex=False)
-        faults = self._fault_plan.worker_faults(index, attempt)
-        process = self._context.Process(
-            target=_supervised_point,
-            args=(send_end, index, attempt, self._configs[index],
-                  self._extract, faults, self._metered),
-            name=f"repro-point{index}-a{attempt}",
-            daemon=True,
-        )
-        try:
-            process.start()
-        except OSError as exc:
-            recv_end.close()
-            send_end.close()
-            warnings.warn(
-                f"could not spawn a sweep worker ({exc}); running this "
-                "attempt in-process instead (no timeout enforcement)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return False
-        send_end.close()
-        if self._policy.timeout is not None:
-            deadline = monotonic() + self._policy.timeout
-        else:
-            deadline = math.inf
-        self._active[recv_end] = _Attempt(
-            index=index, attempt=attempt, process=process,
-            deadline=deadline, begin=perf_counter())
-        self._emit(PointProgress(index=index, phase="start", attempt=attempt,
-                                 worker=process.name))
-        return True
-
-    def _inline_attempt(self, index: int, attempt: int) -> None:
-        worker = multiprocessing.current_process().name
-        self._emit(PointProgress(index=index, phase="start", attempt=attempt,
-                                 worker=worker))
-        begin = perf_counter()
-        try:
-            apply_worker_faults(self._fault_plan.worker_faults(index, attempt),
-                                index, attempt)
-            result = run_scenario(self._configs[index], metrics=self._metered)
-            measurements = self._extract(result)
-        except Exception as exc:
-            self._attempt_over(index, attempt, OUTCOME_ERROR,
-                               perf_counter() - begin,
-                               f"{type(exc).__name__}: {exc}", worker)
-            return
-        snapshot = (result.metrics.snapshot()
-                    if result.metrics is not None else None)
-        self._complete(index, measurements, worker, perf_counter() - begin,
-                       result.events_processed, attempts=attempt,
-                       snapshot=snapshot)
-
-    # ------------------------------------------------------------------
-    # Collection
-    # ------------------------------------------------------------------
-    def _wait_and_collect(self) -> None:
-        if not self._active:
-            # Everything runnable is backing off: sleep to the first retry.
-            if self._queue:
-                pause = min(task[2] for task in self._queue) - monotonic()
-                if pause > 0:
-                    sleep(pause)
-            return
-        ready = connection.wait(list(self._active), timeout=self._wait_budget())
-        for conn in ready:
-            self._collect(conn)
-        self._expire_deadlines()
-
-    def _wait_budget(self) -> float | None:
-        """Seconds to block in ``connection.wait`` before bookkeeping.
-
-        Bounded by the nearest attempt deadline and — when a worker slot
-        is free — the nearest backoff expiry, so timeouts fire promptly
-        and retries are not starved behind long-running points.
-        """
-        horizon = min(entry.deadline for entry in self._active.values())
-        if self._queue and len(self._active) < self._jobs:
-            horizon = min(horizon, min(task[2] for task in self._queue))
-        if math.isinf(horizon):
-            return None
-        return max(0.0, horizon - monotonic())
-
-    def _collect(self, conn) -> None:
-        entry = self._active.pop(conn)
-        wall_seconds = perf_counter() - entry.begin
-        try:
-            payload = conn.recv()
-        except (EOFError, OSError):
-            payload = None
-        conn.close()
-        entry.process.join()
-        if payload is not None and payload[0] == "ok":
-            _, measurements, worker_wall, events, snapshot = payload
-            self._complete(entry.index, measurements, entry.process.name,
-                           worker_wall, events, attempts=entry.attempt,
-                           snapshot=snapshot)
-            return
-        if payload is None:
-            outcome = OUTCOME_CRASH
-            detail = (f"worker died with exit code {entry.process.exitcode} "
-                      "before reporting a result")
-        else:
-            outcome = OUTCOME_ERROR
-            detail = str(payload[1])
-        self._attempt_over(entry.index, entry.attempt, outcome, wall_seconds,
-                           detail, entry.process.name)
-
-    def _expire_deadlines(self) -> None:
-        now = monotonic()
-        expired = [conn for conn, entry in self._active.items()
-                   if entry.deadline <= now]
-        for conn in expired:
-            entry = self._active.pop(conn)
-            _stop_process(entry.process)
-            conn.close()
-            self._attempt_over(
-                entry.index, entry.attempt, OUTCOME_TIMEOUT,
-                perf_counter() - entry.begin,
-                f"exceeded the per-point timeout of {self._policy.timeout}s",
-                entry.process.name)
-
-    def _attempt_over(self, index: int, attempt: int, outcome: str,
-                      wall_seconds: float, detail: str, worker: str) -> None:
-        delay = self._attempt_failed(index, attempt, outcome, wall_seconds,
-                                     detail, worker)
-        if delay is not None:
-            self._queue.append((index, attempt + 1, monotonic() + delay))
-
-    def _shutdown(self) -> None:
-        for conn, entry in list(self._active.items()):
-            _stop_process(entry.process)
-            conn.close()
-        self._active.clear()
+    return attempt_failed
 
 
 class LocalBackend(SweepBackend):
@@ -369,74 +143,71 @@ class LocalBackend(SweepBackend):
     name = "local"
 
     def execute(self, request: BackendRequest) -> None:
-        if request.policy is None:
-            self._run_plain(request)
-        else:
-            self._run_supervised(request)
-
-    # ------------------------------------------------------------------
-    # Plain (unsupervised) execution — the original hot paths
-    # ------------------------------------------------------------------
-    def _run_plain(self, request: BackendRequest) -> None:
-        pending, configs = request.pending, request.configs
-        extract, jobs, metered = request.extract, request.jobs, request.metered
-        complete, emit = request.complete, request.emit
-        if jobs <= 1:
-            worker = multiprocessing.current_process().name
-            for index in pending:
-                emit(PointProgress(index=index, phase="start", worker=worker))
-                begin = perf_counter()
-                result = run_scenario(configs[index], metrics=metered)
-                wall_seconds = perf_counter() - begin
-                snapshot = (result.metrics.snapshot()
-                            if result.metrics is not None else None)
-                complete(index, extract(result), worker, wall_seconds,
-                         result.events_processed, snapshot=snapshot)
-            return
-        _check_spawnable_main()
-        _check_picklable_extract(extract)
-        tasks = [(index, configs[index], extract, metered)
-                 for index in pending]
-        chunksize = request.chunksize or max(1, len(tasks) // (jobs * 4))
-        context = multiprocessing.get_context(request.start_method)
-        pool = context.Pool(processes=jobs)
-        try:
-            for index, measurements, worker, wall_seconds, events, snapshot in (
-                    pool.imap_unordered(_execute_point, tasks,
-                                        chunksize=chunksize)):
-                complete(index, measurements, worker, wall_seconds, events,
-                         snapshot=snapshot)
-        except BaseException:
-            # KeyboardInterrupt (and anything else) mid-iteration: kill
-            # the workers *now* and reap them before propagating, instead
-            # of leaking a pool that blocks interpreter exit.
-            pool.terminate()
-            pool.join()
-            raise
-        else:
-            pool.close()
-            pool.join()
-
-    # ------------------------------------------------------------------
-    # Supervised execution
-    # ------------------------------------------------------------------
-    def _run_supervised(self, request: BackendRequest) -> None:
         if request.jobs <= 1:
-            self._run_supervised_serial(request)
+            self._run_in_process(request)
             return
         _check_spawnable_main()
-        _check_picklable_extract(request.extract)
-        supervisor = _Supervisor(
-            context=multiprocessing.get_context(request.start_method),
-            jobs=request.jobs, policy=request.policy,
-            fault_plan=request.fault_plan, configs=request.configs,
-            extract=request.extract, pending=request.pending,
-            complete=request.complete, attempt_failed=request.attempt_failed,
-            emit=request.emit, metered=request.metered)
-        supervisor.run()
+        reference = _local_extract_reference(request.extract)
+        if request.policy is None:
+            agent_request = replace(
+                request, policy=ResilienceConfig(retries=0),
+                attempt_failed=_raise_first_failure(request),
+                fault_plan=FaultPlan())
+        else:
+            # In-worker faults only: the fleet-level kinds exercise the
+            # distributed backend, not local execution.
+            agent_request = replace(request, fault_plan=FaultPlan(tuple(
+                clause for clause in request.fault_plan.clauses
+                if clause.kind in WORKER_KINDS)))
+        policy = agent_request.policy
+        agents = WorkerBackend(
+            command=_agent_command(), workers=request.jobs,
+            # A hung attempt must end at its point budget, as a timeout,
+            # before any missed heartbeat could call it a crash.
+            lease_ttl=max(_LEASE_TTL, policy.timeout or 0.0),
+            # Each attempt can cost at most one agent; the spare ``jobs``
+            # cover agents that die before taking a lease.
+            max_respawns=(request.jobs
+                          + len(request.pending) * policy.max_attempts))
+        run = _SweepRun(agents, agent_request, reference)
+        try:
+            run.execute()
+        except BackendUnavailable as exc:
+            remaining = [index for index in request.pending
+                         if index not in run.done and index not in run.failed]
+            warnings.warn(
+                f"could not spawn a sweep worker ({exc}); running "
+                f"{len(remaining)} point(s) in-process instead (no timeout "
+                "enforcement)", RuntimeWarning, stacklevel=2)
+            self._run_in_process(replace(request, pending=remaining))
+
+    # ------------------------------------------------------------------
+    # In-process execution
+    # ------------------------------------------------------------------
+    def _run_in_process(self, request: BackendRequest) -> None:
+        if request.policy is None:
+            self._run_plain_serial(request)
+        else:
+            self._run_supervised_serial(request)
+
+    def _run_plain_serial(self, request: BackendRequest) -> None:
+        """The unsupervised loop: the first exception fails the sweep."""
+        configs, extract, metered = (request.configs, request.extract,
+                                     request.metered)
+        worker = multiprocessing.current_process().name
+        for index in request.pending:
+            request.emit(PointProgress(index=index, phase="start",
+                                       worker=worker))
+            begin = perf_counter()
+            result = run_scenario(configs[index], metrics=metered)
+            wall_seconds = perf_counter() - begin
+            snapshot = (result.metrics.snapshot()
+                        if result.metrics is not None else None)
+            request.complete(index, extract(result), worker, wall_seconds,
+                             result.events_processed, snapshot=snapshot)
 
     def _run_supervised_serial(self, request: BackendRequest) -> None:
-        """Supervised ``jobs=1``: in-process attempts with retry/backoff.
+        """In-process attempts with retry/backoff.
 
         Exceptions (injected or real) are contained per point, but
         there is no process boundary, so wall-clock timeouts cannot be

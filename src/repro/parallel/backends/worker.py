@@ -20,6 +20,9 @@ When the whole fleet is gone and cannot be respawned the backend raises
 :class:`~repro.errors.BackendUnavailable`; the runner then degrades the
 remaining points to the local backend, so a distributed sweep's worst
 case is a slow local sweep.
+
+The same engine (:class:`_SweepRun`) runs the local backend's
+``jobs > 1`` sweeps, on agents it spawns on this host.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import subprocess
 import sys
 import threading
 import warnings
-from time import monotonic
+from time import monotonic, sleep
 from typing import Sequence
 
 from repro.errors import BackendUnavailable, WireError
@@ -83,6 +86,8 @@ class _AgentHandle:
         """The lease this agent is currently serving, if any."""
         self.hello_deadline = hello_deadline
         self.thread: threading.Thread | None = None
+        self.replaced = False
+        """True once a replacement was spawned for this (dead) agent."""
 
     @property
     def idle(self) -> bool:
@@ -147,6 +152,10 @@ class WorkerBackend(SweepBackend):
         self.max_respawns = max_respawns
         self.hello_timeout = float(hello_timeout)
 
+    def fleet_size(self, jobs: int) -> int:
+        """Agents a sweep with a job budget of ``jobs`` runs on."""
+        return len(self.connect) or self.workers or max(1, jobs)
+
     # ------------------------------------------------------------------
     # Fleet plumbing
     # ------------------------------------------------------------------
@@ -195,14 +204,27 @@ class WorkerBackend(SweepBackend):
 
     def _connect_agent(self, ordinal: int, endpoint: str, inbox: queue.Queue,
                        now: float) -> _AgentHandle | None:
+        """Connect to a listening agent, retrying a refused connection.
+
+        An agent started just before the sweep may not be listening
+        yet; a refusal is retried until ``hello_timeout`` runs out.
+        """
         host, _, port_text = endpoint.rpartition(":")
-        try:
-            sock = socket.create_connection((host or "localhost",
-                                             int(port_text)), timeout=10.0)
-        except (OSError, ValueError) as exc:
-            warnings.warn(f"could not connect to worker agent {endpoint!r} "
-                          f"({exc})", RuntimeWarning, stacklevel=3)
-            return None
+        give_up = now + self.hello_timeout
+        sock = None
+        while sock is None:
+            try:
+                sock = socket.create_connection((host or "localhost",
+                                                 int(port_text)), timeout=10.0)
+            except (OSError, ValueError) as exc:
+                if (isinstance(exc, ConnectionRefusedError)
+                        and monotonic() < give_up):
+                    sleep(0.05)
+                    continue
+                warnings.warn(f"could not connect to worker agent "
+                              f"{endpoint!r} ({exc})", RuntimeWarning,
+                              stacklevel=3)
+                return None
         agent = _AgentHandle(
             f"agent{ordinal}",
             sock=sock,
@@ -212,40 +234,37 @@ class WorkerBackend(SweepBackend):
         self._start_reader(agent, inbox)
         return agent
 
-    def _dismiss(self, agent: _AgentHandle) -> None:
-        """Stop one agent: polite shutdown, then force."""
-        if agent.writer is not None:
+    def _dismiss(self, agents: Sequence[_AgentHandle]) -> None:
+        """Stop agents politely: ``shutdown`` to all, then wait on each.
+
+        Every agent is told before any is waited on, so the fleet winds
+        down in parallel; one that has not exited within 5 s is killed.
+        """
+        for agent in agents:
             try:
                 write_message(agent.writer, {"t": "shutdown"})
+                agent.writer.close()
             except (OSError, ValueError):  # repro: noqa[RPR007] -- polite shutdown of a possibly-dead agent; failure falls through to kill
                 pass
-            try:
-                agent.writer.close()
-            except (OSError, ValueError):  # repro: noqa[RPR007] -- closing a stream to a dead peer; nothing to recover
-                pass
-        if agent.proc is not None:
-            try:
-                agent.proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
-                agent.proc.kill()
-                agent.proc.wait()
-        if agent.sock is not None:
-            try:
-                agent.sock.close()
-            except OSError:  # repro: noqa[RPR007] -- socket teardown after the process already exited
-                pass
-        agent.alive = False
+        for agent in agents:
+            if agent.proc is not None:
+                try:
+                    agent.proc.wait(timeout=5.0)
+                except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
+                    agent.proc.kill()
+            self._kill(agent)
 
     def _kill(self, agent: _AgentHandle) -> None:
-        """Stop one agent *now* (it is presumed hung or partitioned)."""
+        """Stop one agent *now* and release its transport."""
         agent.alive = False
         if agent.proc is not None:
             agent.proc.kill()
             agent.proc.wait()
-        if agent.sock is not None:
+        for endpoint in (agent.writer, agent.sock):
             try:
-                agent.sock.close()
-            except OSError:  # repro: noqa[RPR007] -- socket teardown after SIGKILL; the peer is gone
+                if endpoint is not None:
+                    endpoint.close()
+            except (OSError, ValueError):  # repro: noqa[RPR007] -- transport teardown after SIGKILL; the peer is gone
                 pass
 
     # ------------------------------------------------------------------
@@ -283,12 +302,10 @@ class _SweepRun:
         self.expire_fired: dict[int, int] = {}
         self.ordinal = 0
         self.respawns = 0
-        fleet = (len(backend.connect) or backend.workers
-                 or max(1, request.jobs))
-        self.fleet = fleet
+        self.fleet = backend.fleet_size(request.jobs)
         self.max_respawns = (backend.max_respawns
                              if backend.max_respawns is not None
-                             else 2 * fleet)
+                             else 2 * self.fleet)
 
     # -- fleet -----------------------------------------------------------
     def _recruit(self, now: float) -> None:
@@ -312,14 +329,17 @@ class _SweepRun:
         self.agents[agent.name] = agent
         return True
 
-    def _maybe_respawn(self, now: float) -> None:
-        """Replace a dead agent, within the respawn budget.
+    def _replace(self, agent: _AgentHandle, now: float) -> None:
+        """Replace a dead agent once, within the respawn budget.
 
-        TCP endpoints are someone else's processes — they are not
-        replaced, the fleet just shrinks.
+        A killed agent's transport still reports EOF afterwards; the
+        ``replaced`` mark keeps that second notice from growing the
+        fleet.  TCP endpoints are someone else's processes — they are
+        not replaced, the fleet just shrinks.
         """
-        if self.backend.connect:
+        if agent.replaced or self.backend.connect:
             return
+        agent.replaced = True
         if self.respawns >= self.max_respawns:
             return
         self.respawns += 1
@@ -334,10 +354,11 @@ class _SweepRun:
         now = monotonic()
         self._recruit(now)
         if not self._alive():
+            source = (f"connect={self.backend.connect!r}"
+                      if self.backend.connect
+                      else f"command {self.backend.command[0]!r}")
             raise BackendUnavailable(
-                "worker backend: no agent could be started "
-                f"(command={self.backend.command!r}, "
-                f"connect={self.backend.connect!r})")
+                f"worker backend: no agent could be started ({source})")
         try:
             while len(self.done) + len(self.failed) < total:
                 now = monotonic()
@@ -353,9 +374,13 @@ class _SweepRun:
                 except queue.Empty:
                     continue
                 self._handle(agent_name, message)
-        finally:
+        except BaseException:
+            # KeyboardInterrupt included: a hung agent must not hold the
+            # interpreter's exit hostage, so the fleet dies at once.
             for agent in self._alive():
-                self.backend._dismiss(agent)
+                self.backend._kill(agent)
+            raise
+        self.backend._dismiss(self._alive())
 
     def _wait_budget(self, now: float) -> float:
         horizons = [lease.deadline for lease in self.leases.active.values()]
@@ -440,7 +465,7 @@ class _SweepRun:
                     f"worker agent {agent.name} never said hello within "
                     f"{self.backend.hello_timeout}s; replacing it",
                     RuntimeWarning, stacklevel=2)
-                self._maybe_respawn(now)
+                self._replace(agent, now)
         for lease in self.leases.overdue(now):
             info = self.lease_info[lease.lease_id]
             self.leases.reclaim(lease.lease_id)
@@ -450,7 +475,7 @@ class _SweepRun:
                 # only killing it frees the fleet slot.
                 self.backend._kill(agent)
                 agent.busy_lease = None
-                self._maybe_respawn(now)
+                self._replace(agent, now)
             self._attempt_over(
                 info, OUTCOME_TIMEOUT, now - info.begin,
                 "exceeded the per-point timeout of "
@@ -471,7 +496,7 @@ class _SweepRun:
             if agent is not None and agent.alive:
                 self.backend._kill(agent)
                 agent.busy_lease = None
-                self._maybe_respawn(now)
+                self._replace(agent, now)
             self._attempt_over(
                 info, OUTCOME_CRASH, now - info.begin,
                 f"lease {lease.lease_id} expired without a heartbeat "
@@ -582,9 +607,9 @@ class _SweepRun:
 
     def _on_death(self, agent: _AgentHandle, detail: str) -> None:
         if agent.alive:
-            agent.alive = False
             if agent.proc is not None:
                 agent.proc.wait()
+            self.backend._kill(agent)
         report = self.request.report
         now = monotonic()
         orphans = self.leases.by_worker(agent.name)
@@ -600,4 +625,4 @@ class _SweepRun:
                 + (f", exit code {exitcode}" if exitcode is not None else "")
                 + ") before reporting a result")
         agent.busy_lease = None
-        self._maybe_respawn(now)
+        self._replace(agent, now)

@@ -111,9 +111,12 @@ class SharedCacheServer:
         """
         self._stopping.set()
         try:
-            self._listener.close()
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, so the accept thread exits promptly.
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:  # repro: noqa[RPR007] -- listener may already be closed; stop() is idempotent
             pass
+        self._listener.close()
         with self._lock:
             active = list(self._active)
         for conn in active:

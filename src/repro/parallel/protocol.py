@@ -140,8 +140,7 @@ def extract_reference(extract: Callable) -> dict[str, str]:
     Agents re-import the extractor from this reference — nothing else
     crosses the wire — so only module-level callables qualify.  Lambdas,
     nested functions and bound closures are rejected here, at the
-    coordinator, with the same discipline the spawn-pool path enforces
-    via pickling (and the RPR005/RPR010 lint rules enforce statically).
+    coordinator (the RPR005/RPR010 lint rules flag them statically).
     """
     module = getattr(extract, "__module__", None)
     qualname = getattr(extract, "__qualname__", None)

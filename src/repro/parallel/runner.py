@@ -21,20 +21,21 @@ execution.  When a distributed backend raises
 points degrade to the local backend, so a dead fleet costs locality,
 never results.
 
-Two execution regimes share this front end:
+With ``jobs > 1`` every backend executes on the same supervised lease
+engine (:mod:`repro.parallel.backends.worker`) — local execution just
+spawns its agents on this host.  What the policy changes is how
+failures are treated:
 
-* The **plain** paths (``resilience=None``, the default) are the
-  original hot paths — a serial loop, or ``Pool.imap_unordered`` —
-  with no supervision overhead.  A worker crash or unhandled
-  exception fails the whole sweep.
-* The **supervised** paths (``resilience=`` a
+* A **plain** run (``resilience=None``, the default) gets no retries:
+  the first failed point raises, and :attr:`last_report` stays
+  ``None``.
+* A **supervised** run (``resilience=`` a
   :class:`~repro.resilience.policy.ResilienceConfig`, or any non-local
-  backend) contain crashes, enforce per-point wall-clock timeouts,
-  retry failed points with deterministic backoff, checkpoint completed
-  points to a :class:`~repro.resilience.journal.SweepJournal`, and
-  report failures as structured
-  :class:`~repro.resilience.report.PointFailure` records instead of
-  dying.
+  backend) enforces per-point wall-clock timeouts, retries failed
+  points with deterministic backoff, checkpoints completed points to a
+  :class:`~repro.resilience.journal.SweepJournal`, and reports failures
+  as structured :class:`~repro.resilience.report.PointFailure` records
+  instead of dying.
 """
 
 from __future__ import annotations
@@ -48,13 +49,6 @@ from repro.engine.sanitize import SANITIZE_ENV, sanitize_enabled
 from repro.errors import BackendUnavailable, ConfigurationError, SweepFailureError
 from repro.parallel.backends import LocalBackend, resolve_backend
 from repro.parallel.backends.base import BackendRequest
-from repro.parallel.backends.local import (  # noqa: F401 - re-exported for compat
-    _check_spawnable_main,
-    _execute_point,
-    _send_quietly,
-    _stop_process,
-    _supervised_point,
-)
 from repro.parallel.cache import ResultCache, cache_key, config_hash
 from repro.parallel.progress import PointProgress
 from repro.resilience.faults import active_plan, corrupt_entry_file
@@ -102,22 +96,16 @@ class ParallelSweepRunner:
     Parameters
     ----------
     jobs:
-        Worker process count.  ``1`` runs everything serially in-process
-        (no pickling requirements).
+        Worker count.  ``1`` runs everything serially in-process (no
+        pickling requirements); ``N > 1`` runs the points on ``N``
+        long-lived local worker agents.
     cache:
         Anything :func:`resolve_cache` accepts.
-    chunksize:
-        Points handed to a worker per dispatch on the plain pool path;
-        defaults to roughly four chunks per worker so stragglers stay
-        balanced.  The supervised path dispatches one point per process
-        and ignores it.
-    start_method:
-        The multiprocessing start method.  ``spawn`` (default) works on
-        every platform and never inherits dirty parent state.
     resilience:
         Anything :func:`~repro.resilience.policy.resolve_resilience`
-        accepts: ``None``/``False`` (default) keeps the unsupervised hot
-        paths, ``True`` supervises with default policy, and a
+        accepts: ``None``/``False`` (default) runs plain — no retries,
+        the first failed point raises — ``True`` supervises with default
+        policy, and a
         :class:`~repro.resilience.policy.ResilienceConfig` sets timeout,
         retry, journal and partial-result behaviour.  After a supervised
         run, :attr:`last_report` holds the sweep's
@@ -137,8 +125,6 @@ class ParallelSweepRunner:
         self,
         jobs: int = 1,
         cache=None,
-        chunksize: int | None = None,
-        start_method: str = "spawn",
         resilience: ResilienceConfig | bool | None = None,
         backend=None,
     ) -> None:
@@ -146,8 +132,6 @@ class ParallelSweepRunner:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
         self.cache = resolve_cache(cache)
-        self.chunksize = chunksize
-        self.start_method = start_method
         self.resilience = resolve_resilience(resilience)
         self.backend = backend
         self.last_report: ResilienceReport | None = None
@@ -437,16 +421,12 @@ class ParallelSweepRunner:
             keys=keys,
             report=report,
             conflict=conflict,
-            start_method=self.start_method,
-            chunksize=self.chunksize,
         )
         try:
             if pending:
                 try:
                     backend.execute(request)
                 except BackendUnavailable as exc:
-                    if isinstance(backend, LocalBackend):
-                        raise
                     failed_indices = ({failure.index for failure
                                        in report.failures}
                                       if report is not None else set())

@@ -22,6 +22,8 @@ wall-clock-driven traffic, and they carry no data that reaches results.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing.spawn
 import os
 import socket
 import sys
@@ -192,6 +194,9 @@ def serve(reader: IO[str], writer: IO[str]) -> int:
                 return 1
             except (OSError, ValueError):  # pragma: no cover - peer gone
                 return 0
+            # A simulation's object graph is cyclic: free it now, or
+            # every point's garbage piles onto the agent's peak RSS.
+            gc.collect()
         else:
             with lock:
                 write_message(writer, {
@@ -200,14 +205,24 @@ def serve(reader: IO[str], writer: IO[str]) -> int:
                 })
 
 
-def serve_stdio() -> int:
+def serve_stdio(preparation: dict | None = None) -> int:
     """Serve one coordinator over this process's stdin/stdout.
 
-    Print-style debugging inside simulations would corrupt the protocol
-    stream, so stdout is reserved for messages; anything else belongs on
-    stderr.
+    The protocol keeps the original stdout to itself and points
+    ``sys.stdout`` and fd 1 at stderr, so a stray ``print`` cannot
+    corrupt the message stream.  ``preparation`` — spawn preparation
+    data from a coordinator on this host — is applied as spawn children
+    apply it, re-running ``__main__`` so the coordinator's script-level
+    extractors and registrations resolve here too.
     """
-    return serve(sys.stdin, sys.stdout)
+    protocol = os.fdopen(os.dup(sys.stdout.fileno()), "w", encoding="utf-8",
+                         newline="\n")
+    sys.stdout.flush()
+    os.dup2(sys.stderr.fileno(), sys.stdout.fileno())
+    sys.stdout = sys.stderr
+    if preparation is not None:
+        multiprocessing.spawn.prepare(preparation)
+    return serve(sys.stdin, protocol)
 
 
 def serve_tcp(host: str, port: int, *, once: bool = True) -> int:

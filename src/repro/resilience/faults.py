@@ -27,8 +27,8 @@ succeeds — the shape every recovery test wants.  ``'?'`` points are
 resolved by hashing the spec seed (``seed=N`` clause, default 0), never
 by ``random``: the whole schedule is a pure function of the spec string.
 
-Worker faults are applied by the *supervised* execution path (the plain
-fast path has no containment and would genuinely die); ``corrupt`` is
+Worker faults are applied only on *supervised* runs (a plain run has no
+retries and would genuinely fail); ``corrupt`` is
 applied in the parent wherever cache writes happen, so it works on
 every path.
 

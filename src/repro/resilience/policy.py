@@ -46,9 +46,9 @@ class ResilienceConfig:
     timeout:
         Per-point wall-clock budget in seconds; an attempt running
         longer is terminated and counted as a timeout failure.  ``None``
-        (default) disables the limit.  Only enforceable on the
-        supervised parallel path (``jobs > 1``) — a serial in-process
-        attempt cannot be interrupted from outside.
+        (default) disables the limit.  Only enforceable with
+        ``jobs > 1``, where points run on worker agents — a serial
+        in-process attempt cannot be interrupted from outside.
     retries:
         Retries *after* the first attempt; ``retries=2`` allows three
         attempts total.

@@ -6,7 +6,7 @@ buffer-size and pipe-size observations, packaged for reuse by examples
 and benchmarks.
 
 Sweep points are independent deterministic runs, so :func:`sweep` can
-fan them over a process pool (``jobs=N``) and memoize finished points in
+fan them over worker agents (``jobs=N``) and memoize finished points in
 the content-addressed on-disk cache (``cache=True``); see
 :mod:`repro.parallel`.  Results are always returned in input order and
 are identical whatever the ``jobs`` setting.  With ``jobs > 1`` the
@@ -106,7 +106,7 @@ def sweep(
         ``repro sweep --telemetry`` / ``--live`` do.
     backend:
         Which execution backend runs the live points: ``None`` (default)
-        or ``"local"`` for this host's process pool, ``"worker"`` (or a
+        or ``"local"`` for this host's worker agents, ``"worker"`` (or a
         configured :class:`~repro.parallel.backends.worker.WorkerBackend`)
         for the distributed worker fleet, or any name registered with
         :func:`~repro.parallel.backends.register_backend`.  Non-local

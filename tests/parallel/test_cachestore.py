@@ -7,6 +7,7 @@ receives for ``cache="tcp://host:port"``.
 """
 
 import socket
+import time
 
 import pytest
 
@@ -126,6 +127,24 @@ class TestDegradation:
                 if client.get(KEY) is None and client.degraded:
                     break
         assert client.degraded
+
+
+class TestLifecycle:
+    def test_stop_is_prompt_and_ends_the_accept_thread(self, tmp_path):
+        server = SharedCacheServer(tmp_path / "cache").start()
+        client = SharedCacheClient(server.host, server.port, timeout=2.0)
+        client.put(KEY, PAYLOAD)
+        begin = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - begin < 0.5
+        assert not server._accept_thread.is_alive()
+        client.close()
+
+    def test_stop_is_idempotent(self, tmp_path):
+        server = SharedCacheServer(tmp_path / "cache").start()
+        server.stop()
+        server.stop()
+        assert not server._accept_thread.is_alive()
 
 
 class TestResolveCache:

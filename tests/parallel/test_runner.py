@@ -53,7 +53,7 @@ class TestParallelEquivalence:
         assert parallel == serial  # byte-identical SweepPoints
 
     def test_chunked_completion_still_input_ordered(self):
-        runner = ParallelSweepRunner(jobs=2, chunksize=1)
+        runner = ParallelSweepRunner(jobs=2)
         points = runner.run(make_config, CASES,
                             families.utilization_extract)
         assert [p.value for p in points] == CASES
@@ -82,7 +82,7 @@ class TestParallelEquivalence:
         import sys
         import types
 
-        from repro.parallel.runner import _check_spawnable_main
+        from repro.parallel.backends.local import _check_spawnable_main
 
         fake_main = types.ModuleType("__main__")
         fake_main.__file__ = "<stdin>"

@@ -174,3 +174,21 @@ class TestTcpFleet:
         assert report.ok and report.backend == "worker"
         agent.join(timeout=10.0)
         assert not agent.is_alive()
+
+    def test_connect_retries_until_the_agent_listens(self, baseline):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # The agent starts listening only after the coordinator's first
+        # connect attempt has been refused.
+        agent = threading.Timer(0.5, serve_tcp, args=("127.0.0.1", port),
+                                kwargs=dict(once=True))
+        agent.daemon = True
+        agent.start()
+        runner = ParallelSweepRunner(
+            backend=WorkerBackend(connect=[f"127.0.0.1:{port}"],
+                                  lease_ttl=30.0))
+        assert runner.run_configs(CONFIGS, extract) == baseline
+        assert runner.last_report.degraded_points == 0
+        agent.join(timeout=10.0)
+        assert not agent.is_alive()

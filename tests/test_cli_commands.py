@@ -89,6 +89,19 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "jobs=2" in out
 
+    def test_worker_summary_reports_fleet_size(self, monkeypatch, capsys):
+        import os
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        assert main(["sweep", "conjecture", "--fast", "--no-cache",
+                     "--backend", "worker", "--workers", "2"]) == 0
+        assert "(workers=2," in capsys.readouterr().out
+
 
 class TestSweepExitCodes:
     """Exit-code hygiene documented in ``repro sweep --help``.
