@@ -8,10 +8,14 @@ The N-flow generalization moved the hot path from 2 senders to
 populations, so this harness prices the population case the engine
 benches never see: a 64-flow Tahoe dumbbell, recorded as
 
-- ``manyflow_events_per_s`` — engine events per wall second over the
-  full run (the population analogue of ``event_throughput_eps``);
-- ``manyflow_packets_per_s`` — delivered data packets per wall second
-  summed over all 64 receivers;
+- ``manyflow_events_per_s`` — engine events per wall second inside
+  ``Simulator.run`` (``ScenarioResult.wall_seconds``), so construction
+  is not counted (the population analogue of ``event_throughput_eps``);
+- ``manyflow_packets_per_s`` — delivered data packets per second of
+  the same ``Simulator.run`` wall, summed over all 64 receivers;
+- ``manyflow_build_s`` — the rest of the timed ``run(config)`` call,
+  almost all of it building the scenario (topology, routes,
+  connections, monitors);
 - ``manyflow_red_overhead_pct`` — the *relative* paired gate
   (``--max-red-overhead``): the same population with the bottleneck
   switched to RED versus drop-tail, measured as interleaved pairs in
@@ -61,14 +65,17 @@ def _config(duration: float, queue: str | None = None):
     return config
 
 
-def bench_manyflow(duration: float = MANYFLOW_DURATION_S) -> tuple[float, float]:
-    """(events_per_s, packets_per_s) for the 64-flow drop-tail dumbbell."""
+def bench_manyflow(
+        duration: float = MANYFLOW_DURATION_S) -> tuple[float, float, float]:
+    """(events_per_s, packets_per_s, build_s) for the 64-flow drop-tail dumbbell."""
     config = _config(duration)
     box: list = []
     elapsed = _gc_paused(lambda: box.append(run(config)))
     result = box[0]
     delivered = sum(c.receiver.rcv_nxt for c in result.connections)
-    return result.events_processed / elapsed, delivered / elapsed
+    run_s = result.wall_seconds
+    return (result.events_processed / run_s, delivered / run_s,
+            elapsed - run_s)
 
 
 def bench_red_overhead(duration: float = PAIRED_DURATION_S) -> float:
@@ -84,7 +91,7 @@ def bench_red_overhead(duration: float = PAIRED_DURATION_S) -> float:
 
 
 def collect() -> dict:
-    events_per_s, packets_per_s = bench_manyflow()
+    events_per_s, packets_per_s, build_s = bench_manyflow()
     return {
         "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": platform.python_version(),
@@ -100,6 +107,7 @@ def collect() -> dict:
         },
         "manyflow_events_per_s": round(events_per_s),
         "manyflow_packets_per_s": round(packets_per_s),
+        "manyflow_build_s": round(build_s, 4),
         "manyflow_red_overhead_pct": round(bench_red_overhead(), 2),
     }
 

@@ -116,15 +116,20 @@ class Network:
     # Routing
     # ------------------------------------------------------------------
     def compute_routes(self) -> None:
-        """Install BFS next-hop routes toward every host on every node."""
+        """Install next-hop routes toward every host on the forwarding nodes.
+
+        Nodes with a single neighbour get no table; they forward every
+        packet out their only port.
+        """
         adjacency: dict[str, list[str]] = {name: [] for name in self.nodes}
         for (a, b) in self.links:
             adjacency[a].append(b)
             adjacency[b].append(a)
         hosts = [name for name, node in self.nodes.items() if isinstance(node, Host)]
         tables = compute_next_hops(adjacency, hosts)
-        for name, node in self.nodes.items():
-            for dst, via in tables[name].items():
+        for name, table in tables.items():
+            node = self.nodes[name]
+            for dst, via in table.items():
                 node.add_route(dst, via)
 
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ class TestDumbbell:
 
     def test_routes_installed(self):
         net = build_dumbbell(Simulator())
-        assert net.nodes["host1"].routes["host2"] == "sw1"
+        assert net.nodes["host1"].port_toward("host2") is net.port("host1", "sw1")
         assert net.nodes["sw1"].routes["host2"] == "sw2"
         assert net.nodes["sw2"].routes["host1"] == "sw1"
 
@@ -120,28 +120,29 @@ class TestGeneralizedDumbbell:
         net = build_dumbbell(Simulator(), n_left=n, n_right=n)
         for i in range(1, n + 1):
             for j in range(n + 1, 2 * n + 1):
-                assert net.nodes[f"host{i}"].routes[f"host{j}"] == "sw1"
-                assert net.nodes["sw1"].routes[f"host{j}"] == "sw2"
-                assert net.nodes[f"host{j}"].routes[f"host{i}"] == "sw2"
-                assert net.nodes["sw2"].routes[f"host{i}"] == "sw1"
+                left, right = f"host{i}", f"host{j}"
+                assert net.nodes[left].port_toward(right) is net.port(left, "sw1")
+                assert net.nodes["sw1"].routes[right] == "sw2"
+                assert net.nodes[right].port_toward(left) is net.port(right, "sw2")
+                assert net.nodes["sw2"].routes[left] == "sw1"
 
     def test_same_side_pairs_turn_around_at_their_switch(self):
         net = build_dumbbell(Simulator(), n_left=4, n_right=4)
-        assert net.nodes["host1"].routes["host3"] == "sw1"
+        assert net.nodes["host1"].port_toward("host3") is net.port("host1", "sw1")
         assert net.nodes["sw1"].routes["host3"] == "host3"
-        assert net.nodes["host6"].routes["host8"] == "sw2"
+        assert net.nodes["host6"].port_toward("host8") is net.port("host6", "sw2")
         assert net.nodes["sw2"].routes["host8"] == "host8"
 
     def test_asymmetric_sides(self):
         net = build_dumbbell(Simulator(), n_left=1, n_right=5)
         assert net.nodes["sw2"].routes["host6"] == "host6"
-        assert net.nodes["host6"].routes["host1"] == "sw2"
+        assert net.nodes["host6"].port_toward("host1") is net.port("host6", "sw2")
 
     def test_two_host_default_unchanged(self):
         # The generalized builder with defaults is exactly Figure 1.
         net = build_dumbbell(Simulator())
         assert sorted(net.nodes) == ["host1", "host2", "sw1", "sw2"]
-        assert net.nodes["host1"].routes["host2"] == "sw1"
+        assert net.nodes["host1"].port_toward("host2") is net.port("host1", "sw1")
 
     def test_access_propagation_overrides(self):
         net = build_dumbbell(
@@ -177,12 +178,12 @@ class TestMultiHostChain:
     def test_multi_hop_routes_with_shared_switches(self):
         net = build_chain(Simulator(), n_switches=3, hosts_per_switch=2)
         # host1 (sw1) -> host6 (sw3) crosses both inter-switch links.
-        assert net.nodes["host1"].routes["host6"] == "sw1"
+        assert net.nodes["host1"].port_toward("host6") is net.port("host1", "sw1")
         assert net.nodes["sw1"].routes["host6"] == "sw2"
         assert net.nodes["sw2"].routes["host6"] == "sw3"
         assert net.nodes["sw3"].routes["host6"] == "host6"
         # Siblings on one switch reach each other without a switch hop.
-        assert net.nodes["host3"].routes["host4"] == "sw2"
+        assert net.nodes["host3"].port_toward("host4") is net.port("host3", "sw2")
         assert net.nodes["sw2"].routes["host4"] == "host4"
 
     def test_access_buffers_configurable(self):
